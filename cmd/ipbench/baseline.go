@@ -12,6 +12,7 @@ import (
 
 	"ipdelta/internal/chunk"
 	"ipdelta/internal/corpus"
+	"ipdelta/internal/delta"
 	"ipdelta/internal/diff"
 	"ipdelta/internal/inplace"
 	"ipdelta/internal/obs"
@@ -33,6 +34,10 @@ type baselineResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	MBPerSec    float64 `json:"mb_per_s,omitempty"`
+	// DeltaBytes is the add (literal) bytes of the delta a diff/* or
+	// recipe/* row produces: a differ that gets faster by sending more
+	// literals has regressed, and -compare says so.
+	DeltaBytes int64 `json:"delta_bytes,omitempty"`
 }
 
 // baselineStage summarizes one observed pipeline stage from the metrics
@@ -148,6 +153,22 @@ func (doc *baselineDoc) measure(name string, bytes int64, fn func(b *testing.B))
 	doc.Results = append(doc.Results, res)
 }
 
+// measureDiff measures one differ as a row that also records the add
+// bytes of the delta it produces.
+func (doc *baselineDoc) measureDiff(name string, bytes int64, diffOnce func() (*delta.Delta, error)) {
+	var adds int64
+	doc.measure(name, bytes, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			d, err := diffOnce()
+			if err != nil {
+				b.Fatal(err)
+			}
+			adds = d.AddedBytes()
+		}
+	})
+	doc.Results[len(doc.Results)-1].DeltaBytes = adds
+}
+
 // addRegistry folds the registry's counters and stage histograms into the
 // document.
 func (doc *baselineDoc) addRegistry(reg *obs.Registry) {
@@ -226,46 +247,22 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 			}
 		}
 	})
-	doc.measure("diff/one-shot", vbytes, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := l.Diff(p.Ref, p.Version); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	doc.measureDiff("diff/one-shot", vbytes, func() (*delta.Delta, error) { return l.Diff(p.Ref, p.Version) })
 	dr := diff.NewDiffer()
-	doc.measure("diff/reuse", vbytes, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dr.Diff(p.Ref, p.Version); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	doc.measureDiff("diff/reuse", vbytes, func() (*delta.Delta, error) { return dr.Diff(p.Ref, p.Version) })
 	// Parallel diff scaling curve: worker counts 1, 2, 4, ... up to this
 	// machine's core count. The rows are only meaningful relative to the
 	// environment block's num_cpu — on a box with fewer cores than an old
 	// document's, -compare skips them rather than reading noise.
 	for _, w := range parallelWorkers {
 		pd := diff.NewParallelDiffer(w)
-		doc.measure(fmt.Sprintf("diff/parallel/%d", w), vbytes, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := pd.Diff(p.Ref, p.Version); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		doc.measureDiff(fmt.Sprintf("diff/parallel/%d", w), vbytes, func() (*delta.Delta, error) { return pd.Diff(p.Ref, p.Version) })
 		pd.Close()
 	}
 	// The self-selecting engine on the same input: should track whichever
 	// of diff/reuse and diff/parallel/NumCPU wins on this machine.
 	ad := diff.NewAutoDiffer()
-	doc.measure("diff/auto", vbytes, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ad.Diff(p.Ref, p.Version); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	doc.measureDiff("diff/auto", vbytes, func() (*delta.Delta, error) { return ad.Diff(p.Ref, p.Version) })
 	ad.Close()
 
 	// Chunked dedup tier: content-defined split and ingest throughput,
@@ -307,20 +304,8 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 		cstore := chunk.NewStore(chunk.WithObserver(reg))
 		ro := cstore.IngestAll(ck, oldImg)
 		rn := cstore.IngestAll(ck, newImg)
-		doc.measure("recipe/diff/"+label, int64(csz), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rd.DiffRecipes(ro, rn, cstore); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		doc.measure("diff/full/"+label, int64(csz), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := dr.Diff(oldImg, newImg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		doc.measureDiff("recipe/diff/"+label, int64(csz), func() (*delta.Delta, error) { return rd.DiffRecipes(ro, rn, cstore) })
+		doc.measureDiff("diff/full/"+label, int64(csz), func() (*delta.Delta, error) { return dr.Diff(oldImg, newImg) })
 	}
 
 	// Store serving path: materializing the head of a delta chain cold
@@ -409,10 +394,10 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 	fmt.Fprintf(out, "environment: %d CPU, GOMAXPROCS %d, %s %s/%s — parallel rows reflect this parallelism\n\n",
 		doc.Environment.NumCPU, doc.Environment.GOMAXPROCS,
 		doc.Environment.GoVersion, doc.Environment.GOOS, doc.Environment.GOARCH)
-	fmt.Fprintf(out, "%-18s %12s %14s %12s %10s\n", "benchmark", "iters", "ns/op", "allocs/op", "MB/s")
+	fmt.Fprintf(out, "%-18s %12s %14s %12s %10s %12s\n", "benchmark", "iters", "ns/op", "allocs/op", "MB/s", "delta_bytes")
 	for _, r := range doc.Results {
-		fmt.Fprintf(out, "%-18s %12d %14.0f %12d %10.1f\n",
-			r.Name, r.Iters, r.NsPerOp, r.AllocsPerOp, r.MBPerSec)
+		fmt.Fprintf(out, "%-18s %12d %14.0f %12d %10.1f %12d\n",
+			r.Name, r.Iters, r.NsPerOp, r.AllocsPerOp, r.MBPerSec, r.DeltaBytes)
 	}
 	return nil
 }

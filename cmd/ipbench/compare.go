@@ -10,7 +10,8 @@ import (
 
 // The regression-compare mode (-compare OLD) reads two baseline documents —
 // the committed one and a freshly generated one — and fails (non-zero exit)
-// when any shared benchmark slowed down by more than the threshold. CI runs
+// when any shared benchmark slowed down, or any shared diff row's delta grew,
+// by more than the threshold. CI runs
 // it after -bench-baseline so perf regressions surface as red builds rather
 // than silently drifting numbers in BENCH_convert.json.
 
@@ -37,8 +38,10 @@ func loadBaseline(path string) (*baselineDoc, error) {
 
 // runCompare renders an old-vs-new table over the benchmarks present in
 // both documents and returns errRegression when any slows down by more than
-// threshold (a ratio: 0.10 allows 10% more ns/op). Allocation-count growth
-// on a zero-alloc benchmark is always a regression — those gates are exact.
+// threshold (a ratio: 0.10 allows 10% more ns/op), or when a row recording
+// delta_bytes in both documents sends that much more literal data.
+// Allocation-count growth on a zero-alloc benchmark is always a
+// regression — those gates are exact.
 func runCompare(out io.Writer, oldPath, newPath string, threshold float64) error {
 	oldDoc, err := loadBaseline(oldPath)
 	if err != nil {
@@ -68,8 +71,8 @@ func runCompare(out io.Writer, oldPath, newPath string, threshold float64) error
 	// the new run, so a slowdown there is expected, not a regression.
 	skipParallel := oldDoc.Environment.NumCPU < newDoc.Environment.NumCPU
 
-	fmt.Fprintf(out, "%-22s %14s %14s %8s %10s  %s\n",
-		"benchmark", "old ns/op", "new ns/op", "delta", "allocs", "verdict")
+	fmt.Fprintf(out, "%-22s %14s %14s %8s %10s %8s  %s\n",
+		"benchmark", "old ns/op", "new ns/op", "delta", "allocs", "adds", "verdict")
 	regressions := 0
 	compared := 0
 	skipped := 0
@@ -80,8 +83,8 @@ func runCompare(out io.Writer, oldPath, newPath string, threshold float64) error
 			// A benchmark added since the old baseline was committed has
 			// nothing to regress against: report it, don't fail on it.
 			newRows++
-			fmt.Fprintf(out, "%-22s %14s %14.0f %8s %10s  %s\n",
-				nr.Name, "-", nr.NsPerOp, "-", "-", "new row (no old measurement)")
+			fmt.Fprintf(out, "%-22s %14s %14.0f %8s %10s %8s  %s\n",
+				nr.Name, "-", nr.NsPerOp, "-", "-", "-", "new row (no old measurement)")
 			continue
 		}
 		if or.NsPerOp <= 0 {
@@ -89,8 +92,8 @@ func runCompare(out io.Writer, oldPath, newPath string, threshold float64) error
 		}
 		if skipParallel && (strings.HasPrefix(nr.Name, "diff/parallel/") || nr.Name == "diff/auto") {
 			skipped++
-			fmt.Fprintf(out, "%-22s %14.0f %14.0f %8s %10s  %s\n",
-				nr.Name, or.NsPerOp, nr.NsPerOp, "-", "-", "skipped (old ran on fewer CPUs)")
+			fmt.Fprintf(out, "%-22s %14.0f %14.0f %8s %10s %8s  %s\n",
+				nr.Name, or.NsPerOp, nr.NsPerOp, "-", "-", "-", "skipped (old ran on fewer CPUs)")
 			continue
 		}
 		compared++
@@ -105,8 +108,17 @@ func runCompare(out io.Writer, oldPath, newPath string, threshold float64) error
 			verdict = "REGRESSED"
 			regressions++
 		}
-		fmt.Fprintf(out, "%-22s %14.0f %14.0f %+7.1f%% %10s  %s\n",
-			nr.Name, or.NsPerOp, nr.NsPerOp, ratio*100, allocNote, verdict)
+		addsNote := "-"
+		if or.DeltaBytes > 0 && nr.DeltaBytes > 0 {
+			growth := float64(nr.DeltaBytes)/float64(or.DeltaBytes) - 1
+			addsNote = fmt.Sprintf("%+.1f%%", growth*100)
+			if growth > threshold {
+				verdict = "REGRESSED"
+				regressions++
+			}
+		}
+		fmt.Fprintf(out, "%-22s %14.0f %14.0f %+7.1f%% %10s %8s  %s\n",
+			nr.Name, or.NsPerOp, nr.NsPerOp, ratio*100, allocNote, addsNote, verdict)
 	}
 	// New rows alone are not enough: a document sharing zero benchmarks
 	// with the baseline is almost certainly the wrong file, not progress.

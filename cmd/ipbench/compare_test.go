@@ -117,6 +117,31 @@ func TestCompareDetectsSlowdown(t *testing.T) {
 	}
 }
 
+// TestCompareDetectsDeltaGrowth pins the compression gate: a diff row
+// that got faster by sending more literal bytes has regressed.
+func TestCompareDetectsDeltaGrowth(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := writeBaseline(t, dir, "old.json", []baselineResult{
+		{Name: "diff/full/64MiB", NsPerOp: 2000, AllocsPerOp: 3, DeltaBytes: 3_300_000},
+		{Name: "recipe/diff/64MiB", NsPerOp: 500, AllocsPerOp: 9, DeltaBytes: 3_300_000},
+	})
+	newPath := writeBaseline(t, dir, "new.json", []baselineResult{
+		{Name: "diff/full/64MiB", NsPerOp: 1000, AllocsPerOp: 3, DeltaBytes: 43_000_000},
+		{Name: "recipe/diff/64MiB", NsPerOp: 500, AllocsPerOp: 9, DeltaBytes: 3_400_000}, // +3%, inside threshold
+	})
+	var buf bytes.Buffer
+	err := runCompare(&buf, oldPath, newPath, 0.25)
+	var reg errRegression
+	if !errors.As(err, &reg) || reg.n != 1 {
+		t.Fatalf("want 1 regression (delta growth), got err=%v\n%s", err, buf.String())
+	}
+	for _, want := range []string{"+1203.0%", "REGRESSED", "+3.0%"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("table missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
 func TestCompareDetectsNewAllocations(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := writeBaseline(t, dir, "old.json", []baselineResult{

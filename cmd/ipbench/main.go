@@ -78,7 +78,7 @@ func run(args []string) error {
 	baselineOut := fs.String("baseline-out", "BENCH_convert.json", "output path for -bench-baseline")
 	comparePath := fs.String("compare", "", "compare this old baseline JSON against -compare-to and exit non-zero on regression")
 	compareTo := fs.String("compare-to", "BENCH_convert.json", "new baseline JSON for -compare")
-	threshold := fs.Float64("threshold", 0.25, "allowed ns/op slowdown ratio for -compare (0.25 = 25%)")
+	threshold := fs.Float64("threshold", 0.25, "allowed ns/op slowdown and delta_bytes growth ratio for -compare (0.25 = 25%)")
 	scalingGate := fs.Bool("scaling-gate", false, "measure the diff scaling curve and exit non-zero when parallel at full core count or auto loses to sequential reuse")
 	gateThreshold := fs.Float64("gate-threshold", 0.05, "allowed slowdown ratio for -scaling-gate (0.05 = 5%)")
 	recipeGate := fs.Bool("recipe-gate", false, "measure recipe diff vs the full differ on churned input and exit non-zero unless recipe wins by -recipe-speedup")

@@ -22,7 +22,9 @@
 package diff
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"ipdelta/internal/delta"
 )
@@ -180,32 +182,53 @@ func resolveAdds(cmds []delta.Command, arena []byte) {
 //
 //ipvet:allocfree
 func matchForward(ref, version []byte, r, v int) int {
-	n := 0
-	for r+n < len(ref) && v+n < len(version) && ref[r+n] == version[v+n] {
-		n++
-	}
-	return n
+	return matchForwardN(ref, version, r, v, len(version))
 }
 
 // matchForwardN is matchForward capped at max bytes, for extensions that
-// must not run past a neighbouring command's range.
+// must not run past a neighbouring command's range. It compares eight
+// bytes per step: the XOR of two little-endian words is zero while they
+// agree, and its trailing zero bits locate the first differing byte.
 //
 //ipvet:allocfree
 func matchForwardN(ref, version []byte, r, v, max int) int {
+	if r >= len(ref) || v >= len(version) {
+		return 0
+	}
+	a, b := ref[r:], version[v:]
+	max = min(max, len(a), len(b))
 	n := 0
-	for n < max && r+n < len(ref) && v+n < len(version) && ref[r+n] == version[v+n] {
+	for ; n+8 <= max; n += 8 {
+		if x := binary.LittleEndian.Uint64(a[n:]) ^ binary.LittleEndian.Uint64(b[n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for n < max && a[n] == b[n] {
 		n++
 	}
 	return n
 }
 
 // matchBackward returns how many bytes before ref[r] and version[v] agree,
-// looking back at most maxBack bytes.
+// looking back at most maxBack bytes. It is matchForwardN mirrored: the
+// words are loaded big-endian, so the byte nearest the match start is
+// the least significant one.
 //
 //ipvet:allocfree
 func matchBackward(ref, version []byte, r, v, maxBack int) int {
+	if r > len(ref) || v > len(version) {
+		return 0
+	}
+	a, b := ref[:r], version[:v]
+	maxBack = min(maxBack, len(a), len(b))
 	n := 0
-	for n < maxBack && r-n-1 >= 0 && v-n-1 >= 0 && ref[r-n-1] == version[v-n-1] {
+	for ; n+8 <= maxBack; n += 8 {
+		i, j := len(a)-n-8, len(b)-n-8
+		if x := binary.BigEndian.Uint64(a[i:]) ^ binary.BigEndian.Uint64(b[j:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for n < maxBack && a[len(a)-n-1] == b[len(b)-n-1] {
 		n++
 	}
 	return n

@@ -1,7 +1,6 @@
 package diff
 
 import (
-	"bytes"
 	"sync"
 	"sync/atomic"
 
@@ -37,14 +36,20 @@ func resolveDiffMetrics(r *obs.Registry) *diffMetrics {
 	}
 }
 
-// Linear is the linear-time, constant-space differencer. A fixed-size table
+// Linear is the linear-time, constant-space differencer. A bounded table
 // maps Karp–Rabin fingerprints of reference seeds (p-byte substrings) to
 // their first occurrence; the version file is scanned left to right, and a
 // fingerprint hit that verifies byte-wise is extended forward as far as the
 // files agree and backward into any still-unmatched literal bytes.
 //
-// Time is O(L_R + L_V); space is the fixed table regardless of input size,
-// matching the O(1)-space claim the paper cites for its delta generator.
+// References whose seeds outnumber the table are checkpointed (see
+// tableParams): only seeds whose fingerprints fall in a fixed fraction of
+// hash space are indexed or looked up, a uniform sample of the whole
+// reference that keeps the table's load near one at any size.
+//
+// Time is O(L_R + L_V); space is the bounded table regardless of input
+// size, matching the O(1)-space claim the paper cites for its delta
+// generator.
 //
 // Diff's working memory (the fingerprint table and the emitter) is pooled
 // per instance, so repeated and concurrent calls reuse it instead of
@@ -73,8 +78,12 @@ func WithSeedLen(p int) LinearOption {
 	}
 }
 
-// WithTableBits sets the fingerprint table size to 2^bits entries
-// (default 18, i.e. 256Ki entries).
+// WithTableBits caps the fingerprint table at 2^bits entries (default 18,
+// i.e. 256Ki entries; clamped to [8, 26]). Smaller references get a table
+// sized to their anchors; larger ones keep the cap and index a checkpoint
+// sample of density 2^bits/anchors, so a larger cap finds shorter matches
+// in big references at the cost of a table that no longer stays
+// cache-resident.
 func WithTableBits(bits uint) LinearOption {
 	return func(l *Linear) {
 		if bits < 8 {
@@ -194,17 +203,34 @@ func tableBitsFor(maxBits uint, indexed int) uint {
 	return bits
 }
 
-// tableParams derives the (stride, table bits) pair for one reference
-// length. Linear and Parallel share this derivation, so for equal inputs
-// they build byte-identical tables and compression differences can come
-// only from segment seams.
+// tableParams derives the index shape for one reference length: the
+// anchor stride, the table size 2^bits, and the checkpoint cut (see
+// krTable.admits). Linear, the sharded Parallel build and the recipe
+// window build all take their shape from here, so for equal inputs they
+// build byte-identical tables and compression differences can come only
+// from segment seams.
+//
+// While the stride-aligned anchors fit the table (<= 2^bits of them, all
+// references up to ~2 MiB at the defaults) the cut is 0 and every anchor
+// is indexed. Past that, first-wins inserts into a saturated table would
+// index only the front of the reference, so instead only checkpoint
+// anchors are indexed: those whose fingerprint's high 32 bits fall below
+// cut = ⌊2^32·slots/anchors⌋. That is the checkpointing of Ajtai et al.
+// (the paper's ref [1]) — a content-defined, position-independent sample
+// of density slots/anchors, uniform over the whole reference, in the same
+// constant memory. The density is continuous rather than a power-of-two
+// step, so the expected load stays ≈1 at every size.
 //
 //ipvet:allocfree
-func (l *Linear) tableParams(refLen int) (stride int, bits uint) {
-	nseeds := refLen - l.seedLen + 1
+func tableParams(seedLen int, maxBits uint, refLen int) (stride int, bits uint, cut uint32) {
+	nseeds := refLen - seedLen + 1
 	stride = strideFor(nseeds)
-	indexed := (nseeds + stride - 1) / stride
-	return stride, tableBitsFor(l.tableBits, indexed)
+	anchors := (nseeds + stride - 1) / stride
+	bits = tableBitsFor(maxBits, anchors)
+	if slots := 1 << bits; anchors > slots {
+		cut = uint32(uint64(slots) << 32 / uint64(anchors))
+	}
+	return stride, bits, cut
 }
 
 // krHasher computes rolling hashes of p-byte windows. It is a value type:
@@ -251,15 +277,21 @@ func (h *krHasher) roll(out, in byte) uint64 {
 // The packed layout also gives the parallel differ a lock-free build: a
 // single compare-and-swap installs generation and offset together, with
 // min-offset-wins preserving the sequential first-occurrence semantics.
+//
+// cut is the checkpoint filter tableParams derived for this reference;
+// the zero value admits every fingerprint.
 type krTable struct {
 	entries []uint64
 	gen     uint32
+	cut     uint32
 	mask    uint64
 }
 
-// prepare sizes the table for 2^bits entries and advances the generation,
-// invalidating all previous entries without touching them.
-func (t *krTable) prepare(bits uint) {
+// prepare sizes the table for 2^bits entries, sets the checkpoint cut,
+// and advances the generation, invalidating all previous entries without
+// touching them.
+func (t *krTable) prepare(bits uint, cut uint32) {
+	t.cut = cut
 	size := 1 << bits
 	if len(t.entries) != size {
 		t.entries = make([]uint64, size)
@@ -278,6 +310,16 @@ func (t *krTable) prepare(bits uint) {
 	}
 }
 
+// admits reports whether fingerprint h is a checkpoint: its high 32 bits
+// are below the cut. The bucket is taken from the low bits, so the two
+// tests use independent parts of the hash. With cut == 0, cut-1 wraps to
+// the largest uint32 and every fingerprint is admitted.
+//
+//ipvet:allocfree
+func (t *krTable) admits(h uint64) bool {
+	return uint32(h>>32) <= t.cut-1
+}
+
 // insert records offset r for bucket b if the bucket is empty this
 // generation (first occurrence wins, matching the left-to-right scan).
 // The entries are CAS-written by insertMin when the parallel differ
@@ -292,11 +334,16 @@ func (t *krTable) insert(b uint64, r int) {
 	}
 }
 
-// lookup returns the stored offset for bucket b, if current.
+// lookup returns the anchor stored for fingerprint h, if h is a
+// checkpoint and its bucket is current. Non-checkpoint fingerprints
+// cannot have been indexed, so they skip the table probe.
 //
 //ipvet:allocfree
-func (t *krTable) lookup(b uint64) (int, bool) {
-	e := atomic.LoadUint64(&t.entries[b])
+func (t *krTable) lookup(h uint64) (int, bool) {
+	if !t.admits(h) {
+		return 0, false
+	}
+	e := atomic.LoadUint64(&t.entries[h&t.mask])
 	if uint32(e>>32) != t.gen {
 		return 0, false
 	}
@@ -320,6 +367,14 @@ func (t *krTable) insertMin(b uint64, r int) {
 		}
 	}
 }
+
+// maxPooledScratch caps the literal arena a pooled differ state may keep.
+// A state that grew past it (one large diff) is dropped rather than
+// pooled, as fmt does with large print buffers: otherwise sync.Pool's
+// victim cache keeps the arena alive across a garbage collection, and a
+// server publishing one large release holds that much heap until the
+// next one.
+const maxPooledScratch = 16 << 20
 
 // linearState is one diff's working memory: the fingerprint table and the
 // emitter. States are pooled per Linear instance. The table is sized per
@@ -349,7 +404,9 @@ func (l *Linear) Diff(ref, version []byte) (*delta.Delta, error) {
 		VersionLen: int64(len(version)),
 		Commands:   st.e.finish(),
 	}
-	l.pool.Put(st)
+	if cap(st.e.lits) <= maxPooledScratch {
+		l.pool.Put(st)
+	}
 	l.record(ref, version, len(d.Commands))
 	return d, nil
 }
@@ -381,8 +438,8 @@ func (l *Linear) scan(st *linearState, ref, version []byte) {
 		return
 	}
 
-	stride, bits := l.tableParams(len(ref))
-	st.table.prepare(bits) //ipvet:ignore allocfree -- sizing is amortized: same-shape inputs reuse the table allocation
+	stride, bits, cut := tableParams(p, l.tableBits, len(ref))
+	st.table.prepare(bits, cut) //ipvet:ignore allocfree -- sizing is amortized: same-shape inputs reuse the table allocation
 	var span obs.Span
 	if l.met != nil {
 		span = l.met.tableStage.Start()
@@ -390,7 +447,7 @@ func (l *Linear) scan(st *linearState, ref, version []byte) {
 			l.met.strided.Inc()
 		}
 	}
-	buildTable(&st.table, ref, p, 0, len(ref)-p+1, stride)
+	buildTable(&st.table, ref, p, 0, len(ref)-p+1, stride, false)
 	if l.met != nil {
 		span.End()
 		span = l.met.emitStage.Start()
@@ -414,23 +471,31 @@ func alignUp(r, stride int) int {
 }
 
 // buildTable indexes the reference seeds whose start offsets lie in
-// [rlo, rhi) and are multiples of stride: table[h] maps the fingerprint
-// bucket h to the anchor's first occurrence. Sequential first-wins
-// inserts here, atomic min-wins in buildTableShard when reference shards
-// build concurrently — over the same position set the results are
+// [rlo, rhi), are multiples of stride, and are checkpoints (t.admits):
+// table[h] maps the fingerprint bucket h to the anchor's first
+// occurrence. Sequential first-wins inserts here; with shared set,
+// atomic min-wins inserts for concurrent builders over disjoint
+// reference shards — over the same position set the results are
 // identical. Below strideJump the hash still rolls across every position
 // (one cheap step per skipped byte); at or above it each anchor is
 // hashed from scratch with the unrolled kernel and the skipped bytes are
 // never touched.
 //
 //ipvet:allocfree
-func buildTable(t *krTable, ref []byte, p, rlo, rhi, stride int) {
+func buildTable(t *krTable, ref []byte, p, rlo, rhi, stride int, shared bool) {
 	if rlo >= rhi {
 		return
 	}
 	if stride >= strideJump {
 		for r := alignUp(rlo, stride); r < rhi; r += stride {
-			t.insert(krHash(ref[r:r+p])&t.mask, r)
+			h := krHash(ref[r : r+p])
+			switch {
+			case !t.admits(h):
+			case shared:
+				t.insertMin(h&t.mask, r)
+			default:
+				t.insert(h&t.mask, r)
+			}
 		}
 		return
 	}
@@ -439,36 +504,13 @@ func buildTable(t *krTable, ref []byte, p, rlo, rhi, stride int) {
 	next := alignUp(rlo, stride)
 	for r := rlo; ; r++ {
 		if r == next {
-			t.insert(rh.hash&t.mask, r)
-			next += stride
-		}
-		if r+1 >= rhi {
-			break
-		}
-		rh.roll(ref[r], ref[r+p])
-	}
-}
-
-// buildTableShard is buildTable with atomic min-wins inserts, for
-// concurrent builders over disjoint [rlo, rhi) reference shards.
-//
-//ipvet:allocfree
-func buildTableShard(t *krTable, ref []byte, p, rlo, rhi, stride int) {
-	if rlo >= rhi {
-		return
-	}
-	if stride >= strideJump {
-		for r := alignUp(rlo, stride); r < rhi; r += stride {
-			t.insertMin(krHash(ref[r:r+p])&t.mask, r)
-		}
-		return
-	}
-	rh := newKRHasher(p)
-	rh.init(ref[rlo : rlo+p])
-	next := alignUp(rlo, stride)
-	for r := rlo; ; r++ {
-		if r == next {
-			t.insertMin(rh.hash&t.mask, r)
+			switch h := rh.hash; {
+			case !t.admits(h):
+			case shared:
+				t.insertMin(h&t.mask, r)
+			default:
+				t.insert(h&t.mask, r)
+			}
 			next += stride
 		}
 		if r+1 >= rhi {
@@ -501,10 +543,10 @@ func scanRange(t *krTable, e *emitter, ref, version []byte, p, start, end, minCo
 	vh.init(version[v : v+p])
 	for {
 		matched := false
-		if r, ok := t.lookup(vh.hash & t.mask); ok {
-			// Verify: fingerprints collide, bytes decide.
-			if bytes.Equal(ref[r:r+p], version[v:v+p]) {
-				fwd := p + matchForward(ref, version, r+p, v+p)
+		if r, ok := t.lookup(vh.hash); ok {
+			// Verify and extend in one pass: fingerprints collide,
+			// bytes decide.
+			if fwd := matchForward(ref, version, r, v); fwd >= p {
 				if v+fwd > end {
 					fwd = end - v
 				}

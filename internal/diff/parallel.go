@@ -135,7 +135,7 @@ type segment struct {
 func (sg *segment) run() {
 	switch sg.job {
 	case jobBuild:
-		buildTableShard(sg.table, sg.ref, sg.p, sg.rlo, sg.rhi, sg.stride)
+		buildTable(sg.table, sg.ref, sg.p, sg.rlo, sg.rhi, sg.stride, true)
 	case jobScan:
 		span := sg.scanStage.Start()
 		scanRange(sg.table, &sg.e, sg.ref, sg.version, sg.p, sg.vlo, sg.vhi, sg.minCopy)
@@ -213,8 +213,8 @@ func (st *parallelState) dispatch(w, job int, wp *workerPool) {
 // used (1 for inputs too small to split).
 func (pl *Parallel) run(st *parallelState, ref, version []byte, wp *workerPool) int {
 	p := pl.l.seedLen
-	stride, bits := pl.l.tableParams(len(ref))
-	st.table.prepare(bits)
+	stride, bits, cut := tableParams(p, pl.l.tableBits, len(ref))
+	st.table.prepare(bits, cut)
 
 	w := workersFor(len(version), pl.workers)
 	if cap(st.segs) < w {
@@ -264,7 +264,7 @@ func (pl *Parallel) run(st *parallelState, ref, version []byte, wp *workerPool) 
 		}
 	}
 	if w == 1 {
-		buildTable(&st.table, ref, p, 0, nseeds, stride)
+		buildTable(&st.table, ref, p, 0, nseeds, stride, false)
 	} else {
 		st.dispatch(w, jobBuild, wp)
 	}
@@ -479,7 +479,9 @@ func (pl *Parallel) Diff(ref, version []byte) (*delta.Delta, error) {
 		span.End()
 		pl.recordStitch(stats, w)
 	}
-	pl.pool.Put(st)
+	if cap(st.arena) <= maxPooledScratch {
+		pl.pool.Put(st)
+	}
 	pl.l.record(ref, version, len(d.Commands))
 	return d, nil
 }

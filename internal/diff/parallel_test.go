@@ -10,51 +10,68 @@ import (
 
 // TestParallelMatchesLinearBytes is the equivalence property of the
 // parallel engine: for every worker count 1..8 and a spread of input
-// sizes (well below one segment up to many segments), the parallel delta
-// must decode byte-for-byte to the same version the linear delta decodes
-// to — equivalence on output bytes, not command streams — and must
-// validate as a well-formed delta.
+// sizes (well below one segment up to many segments, and one past ~2 MiB
+// where the table indexes checkpoints only), the parallel delta must
+// decode byte-for-byte to the same version the linear delta decodes to —
+// equivalence on output bytes, not command streams — and must validate
+// as a well-formed delta.
 func TestParallelMatchesLinearBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	l := NewLinear()
+	check := func(workers int, pl *Parallel, ref, version []byte) {
+		t.Helper()
+		size := len(ref)
+		want, err := l.Diff(ref, version)
+		if err != nil {
+			t.Fatalf("w=%d size=%d: Linear.Diff: %v", workers, size, err)
+		}
+		got, err := pl.Diff(ref, version)
+		if err != nil {
+			t.Fatalf("w=%d size=%d: Parallel.Diff: %v", workers, size, err)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("w=%d size=%d: invalid parallel delta: %v", workers, size, err)
+		}
+		wantOut, err := want.Apply(ref)
+		if err != nil {
+			t.Fatalf("w=%d size=%d: linear apply: %v", workers, size, err)
+		}
+		gotOut, err := got.Apply(ref)
+		if err != nil {
+			t.Fatalf("w=%d size=%d: parallel apply: %v", workers, size, err)
+		}
+		if !bytes.Equal(gotOut, version) || !bytes.Equal(wantOut, version) {
+			t.Fatalf("w=%d size=%d: deltas do not reproduce the version", workers, size)
+		}
+		// Compression parity: seams may cost a bounded number of
+		// match bytes each, never more.
+		slack := int64(8 * 16 * workers) // seams × generous per-seam loss
+		if got.AddedBytes() > want.AddedBytes()+slack {
+			t.Fatalf("w=%d size=%d: parallel adds %d bytes, linear %d (+%d slack exceeded)",
+				workers, size, got.AddedBytes(), want.AddedBytes(), slack)
+		}
+	}
 	sizes := []int{0, 1, 3, 17, 300, 4<<10 + 13, 32 << 10, 130 << 10}
 	for workers := 1; workers <= 8; workers++ {
 		pl := NewParallel(workers)
 		for _, size := range sizes {
 			ref := make([]byte, size)
 			rng.Read(ref)
-			version := mutate(rng, ref, 1+size/2048)
-
-			want, err := l.Diff(ref, version)
-			if err != nil {
-				t.Fatalf("w=%d size=%d: Linear.Diff: %v", workers, size, err)
-			}
-			got, err := pl.Diff(ref, version)
-			if err != nil {
-				t.Fatalf("w=%d size=%d: Parallel.Diff: %v", workers, size, err)
-			}
-			if err := got.Validate(); err != nil {
-				t.Fatalf("w=%d size=%d: invalid parallel delta: %v", workers, size, err)
-			}
-			wantOut, err := want.Apply(ref)
-			if err != nil {
-				t.Fatalf("w=%d size=%d: linear apply: %v", workers, size, err)
-			}
-			gotOut, err := got.Apply(ref)
-			if err != nil {
-				t.Fatalf("w=%d size=%d: parallel apply: %v", workers, size, err)
-			}
-			if !bytes.Equal(gotOut, version) || !bytes.Equal(wantOut, version) {
-				t.Fatalf("w=%d size=%d: deltas do not reproduce the version", workers, size)
-			}
-			// Compression parity: seams may cost a bounded number of
-			// match bytes each, never more.
-			slack := int64(8 * 16 * workers) // seams × generous per-seam loss
-			if got.AddedBytes() > want.AddedBytes()+slack {
-				t.Fatalf("w=%d size=%d: parallel adds %d bytes, linear %d (+%d slack exceeded)",
-					workers, size, got.AddedBytes(), want.AddedBytes(), slack)
-			}
+			check(workers, pl, ref, mutate(rng, ref, 1+size/2048))
 		}
+	}
+
+	// The checkpointed size draws from its own source so the cases above
+	// keep their inputs.
+	big := rand.New(rand.NewSource(42))
+	ref := make([]byte, 4<<20+13)
+	big.Read(ref)
+	if _, _, cut := tableParams(16, 18, len(ref)); cut == 0 {
+		t.Fatal("large case does not engage the checkpoint filter")
+	}
+	version := mutate(big, ref, 64)
+	for workers := 1; workers <= 8; workers++ {
+		check(workers, NewParallel(workers), ref, version)
 	}
 }
 

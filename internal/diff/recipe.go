@@ -210,10 +210,9 @@ func (rd *RecipeDiffer) diffRun(st *recipeState, newR chunk.Recipe, a, b int, ol
 		if err != nil {
 			return err
 		}
-		stride := strideFor(len(st.oldWin) - rd.seedLen + 1)
-		indexed := (len(st.oldWin) - rd.seedLen + 1 + stride - 1) / stride
-		st.table.prepare(tableBitsFor(rd.maxBits, indexed))
-		buildTable(&st.table, st.oldWin, rd.seedLen, 0, len(st.oldWin)-rd.seedLen+1, stride)
+		stride, bits, cut := tableParams(rd.seedLen, rd.maxBits, len(st.oldWin))
+		st.table.prepare(bits, cut)
+		buildTable(&st.table, st.oldWin, rd.seedLen, 0, len(st.oldWin)-rd.seedLen+1, stride, false)
 		haveTable = true
 		if rd.met != nil {
 			rd.met.runWindows.Inc()
