@@ -52,14 +52,13 @@ type baselineStage struct {
 // baselineDoc is the emitted document.
 type baselineDoc struct {
 	Environment struct {
-		GoVersion   string `json:"go_version"`
-		GOOS        string `json:"goos"`
-		GOARCH      string `json:"goarch"`
-		NumCPU      int    `json:"num_cpu"`
-		GOMAXPROCS  int    `json:"gomaxprocs"`
-		DiffWorkers []int  `json:"diff_workers"`
-		InputBytes  int    `json:"input_bytes"`
-		Seed        int64  `json:"seed"`
+		GoVersion  string `json:"go_version"`
+		GOOS       string `json:"goos"`
+		GOARCH     string `json:"goarch"`
+		NumCPU     int    `json:"num_cpu"`
+		GOMAXPROCS int    `json:"gomaxprocs"`
+		InputBytes int    `json:"input_bytes"`
+		Seed       int64  `json:"seed"`
 	} `json:"environment"`
 	Results []baselineResult `json:"results"`
 	// Metrics carries selected counters from an instrumented convert run
@@ -68,21 +67,6 @@ type baselineDoc struct {
 	Metrics map[string]int64 `json:"metrics,omitempty"`
 	// Stages carries per-stage timing aggregates from the same run.
 	Stages []baselineStage `json:"stages,omitempty"`
-}
-
-// scalingWorkers returns the worker counts for the diff scaling curve:
-// powers of two from 1 up to numCPU, always ending at numCPU itself, so
-// the emitted document shows where parallel speedup flattens on this
-// machine and the last row is directly comparable to diff.Auto's pick.
-func scalingWorkers(numCPU int) []int {
-	if numCPU < 1 {
-		numCPU = 1
-	}
-	var ws []int
-	for w := 1; w < numCPU; w *= 2 {
-		ws = append(ws, w)
-	}
-	return append(ws, numCPU)
 }
 
 // makeChain builds depth related version images for the store benchmarks:
@@ -209,15 +193,12 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 		return fmt.Errorf("bench-baseline: diff: %w", err)
 	}
 
-	parallelWorkers := scalingWorkers(runtime.NumCPU())
-
 	doc := &baselineDoc{}
 	doc.Environment.GoVersion = runtime.Version()
 	doc.Environment.GOOS = runtime.GOOS
 	doc.Environment.GOARCH = runtime.GOARCH
 	doc.Environment.NumCPU = runtime.NumCPU()
 	doc.Environment.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	doc.Environment.DiffWorkers = parallelWorkers
 	doc.Environment.InputBytes = size
 	doc.Environment.Seed = seed
 
@@ -250,20 +231,6 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 	doc.measureDiff("diff/one-shot", vbytes, func() (*delta.Delta, error) { return l.Diff(p.Ref, p.Version) })
 	dr := diff.NewDiffer()
 	doc.measureDiff("diff/reuse", vbytes, func() (*delta.Delta, error) { return dr.Diff(p.Ref, p.Version) })
-	// Parallel diff scaling curve: worker counts 1, 2, 4, ... up to this
-	// machine's core count. The rows are only meaningful relative to the
-	// environment block's num_cpu — on a box with fewer cores than an old
-	// document's, -compare skips them rather than reading noise.
-	for _, w := range parallelWorkers {
-		pd := diff.NewParallelDiffer(w)
-		doc.measureDiff(fmt.Sprintf("diff/parallel/%d", w), vbytes, func() (*delta.Delta, error) { return pd.Diff(p.Ref, p.Version) })
-		pd.Close()
-	}
-	// The self-selecting engine on the same input: should track whichever
-	// of diff/reuse and diff/parallel/NumCPU wins on this machine.
-	ad := diff.NewAutoDiffer()
-	doc.measureDiff("diff/auto", vbytes, func() (*delta.Delta, error) { return ad.Diff(p.Ref, p.Version) })
-	ad.Close()
 
 	// Chunked dedup tier: content-defined split and ingest throughput,
 	// then the recipe-diff fast path against the full-image reuse differ
@@ -391,7 +358,7 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 	}
 
 	fmt.Fprintf(out, "benchmark baseline (%d-byte input, seed %d) -> %s\n", size, seed, outPath)
-	fmt.Fprintf(out, "environment: %d CPU, GOMAXPROCS %d, %s %s/%s — parallel rows reflect this parallelism\n\n",
+	fmt.Fprintf(out, "environment: %d CPU, GOMAXPROCS %d, %s %s/%s\n\n",
 		doc.Environment.NumCPU, doc.Environment.GOMAXPROCS,
 		doc.Environment.GoVersion, doc.Environment.GOOS, doc.Environment.GOARCH)
 	fmt.Fprintf(out, "%-18s %12s %14s %12s %10s %12s\n", "benchmark", "iters", "ns/op", "allocs/op", "MB/s", "delta_bytes")

@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 )
 
 // The regression-compare mode (-compare OLD) reads two baseline documents —
 // the committed one and a freshly generated one — and fails (non-zero exit)
 // when any shared benchmark slowed down, or any shared diff row's delta grew,
-// by more than the threshold. CI runs
+// by more than the threshold. Rows only one document has are listed — new
+// ones and removed ones alike — so a benchmark that disappears cannot
+// take its gate with it unnoticed. CI runs
 // it after -bench-baseline so perf regressions surface as red builds rather
 // than silently drifting numbers in BENCH_convert.json.
 
@@ -55,9 +56,13 @@ func runCompare(out io.Writer, oldPath, newPath string, threshold float64) error
 	for _, r := range oldDoc.Results {
 		oldBy[r.Name] = r
 	}
+	newBy := make(map[string]bool, len(newDoc.Results))
+	for _, r := range newDoc.Results {
+		newBy[r.Name] = true
+	}
 
-	// The environments lead the table: parallel rows are meaningless
-	// without knowing how much parallelism each run actually had.
+	// The environments lead the table: timings compare only across like
+	// machines.
 	fmt.Fprintf(out, "old: %d CPU / GOMAXPROCS %d (%s)\nnew: %d CPU / GOMAXPROCS %d (%s)\n",
 		oldDoc.Environment.NumCPU, oldDoc.Environment.GOMAXPROCS, oldDoc.Environment.GoVersion,
 		newDoc.Environment.NumCPU, newDoc.Environment.GOMAXPROCS, newDoc.Environment.GoVersion)
@@ -66,10 +71,6 @@ func runCompare(out io.Writer, oldPath, newPath string, threshold float64) error
 		fmt.Fprintf(out, "note: environments differ; timings are not directly comparable\n")
 	}
 	fmt.Fprintln(out)
-	// A baseline from a smaller machine says nothing about parallel rows on
-	// this one: the old numbers were measured with less parallelism than
-	// the new run, so a slowdown there is expected, not a regression.
-	skipParallel := oldDoc.Environment.NumCPU < newDoc.Environment.NumCPU
 
 	fmt.Fprintf(out, "%-22s %14s %14s %8s %10s %8s  %s\n",
 		"benchmark", "old ns/op", "new ns/op", "delta", "allocs", "adds", "verdict")
@@ -77,6 +78,7 @@ func runCompare(out io.Writer, oldPath, newPath string, threshold float64) error
 	compared := 0
 	skipped := 0
 	newRows := 0
+	removedRows := 0
 	for _, nr := range newDoc.Results {
 		or, ok := oldBy[nr.Name]
 		if !ok {
@@ -88,12 +90,9 @@ func runCompare(out io.Writer, oldPath, newPath string, threshold float64) error
 			continue
 		}
 		if or.NsPerOp <= 0 {
-			continue
-		}
-		if skipParallel && (strings.HasPrefix(nr.Name, "diff/parallel/") || nr.Name == "diff/auto") {
 			skipped++
-			fmt.Fprintf(out, "%-22s %14.0f %14.0f %8s %10s %8s  %s\n",
-				nr.Name, or.NsPerOp, nr.NsPerOp, "-", "-", "-", "skipped (old ran on fewer CPUs)")
+			fmt.Fprintf(out, "%-22s %14s %14.0f %8s %10s %8s  %s\n",
+				nr.Name, "-", nr.NsPerOp, "-", "-", "-", "skipped (no old timing)")
 			continue
 		}
 		compared++
@@ -120,13 +119,23 @@ func runCompare(out io.Writer, oldPath, newPath string, threshold float64) error
 		fmt.Fprintf(out, "%-22s %14.0f %14.0f %+7.1f%% %10s %8s  %s\n",
 			nr.Name, or.NsPerOp, nr.NsPerOp, ratio*100, allocNote, addsNote, verdict)
 	}
+	for _, or := range oldDoc.Results {
+		if newBy[or.Name] {
+			continue
+		}
+		// A benchmark deleted or renamed since the old baseline: its gate
+		// is gone, which a reviewer should see, but it cannot regress.
+		removedRows++
+		fmt.Fprintf(out, "%-22s %14.0f %14s %8s %10s %8s  %s\n",
+			or.Name, or.NsPerOp, "-", "-", "-", "-", "removed row (no new measurement)")
+	}
 	// New rows alone are not enough: a document sharing zero benchmarks
 	// with the baseline is almost certainly the wrong file, not progress.
 	if compared == 0 && skipped == 0 {
 		return fmt.Errorf("compare: no shared benchmarks between %s and %s", oldPath, newPath)
 	}
-	fmt.Fprintf(out, "\n%d compared, %d regressed, %d skipped, %d new (threshold %+.0f%%)\n",
-		compared, regressions, skipped, newRows, threshold*100)
+	fmt.Fprintf(out, "\n%d compared, %d regressed, %d skipped, %d new, %d removed (threshold %+.0f%%)\n",
+		compared, regressions, skipped, newRows, removedRows, threshold*100)
 	if regressions > 0 {
 		return errRegression{n: regressions}
 	}

@@ -71,7 +71,7 @@ func cmdDiff(args []string) error {
 	refPath := fs.String("ref", "", "reference (old) file")
 	versionPath := fs.String("version", "", "version (new) file")
 	outPath := fs.String("out", "", "output delta file")
-	algoName := fs.String("algo", "auto", "differencing algorithm: auto, linear, parallel, greedy, null")
+	algoName := fs.String("algo", "auto", "differencing algorithm: auto, linear, greedy, recipe, null")
 	formatName := fs.String("format", "", "wire format (default: ordered, or compact with -inplace)")
 	inPlace := fs.Bool("inplace", false, "convert the delta for in-place reconstruction")
 	policyName := fs.String("policy", "locally-minimum", "cycle-breaking policy")

@@ -5,7 +5,7 @@
 //
 //	updated -listen 127.0.0.1:7070 [-timeout D] [-failure-budget N]
 //	        [-stream-limit N] [-stream-window N] [-max-frame N]
-//	        [-metrics-addr ADDR] [-diff-workers N] [-v] v1.img v2.img v3.img
+//	        [-metrics-addr ADDR] [-diff NAME] [-v] v1.img v2.img v3.img
 //
 // Images are the release history, oldest first; devices running any of them
 // are upgraded to the last one. The server speaks both protocols: framed
@@ -15,11 +15,8 @@
 // over the deprecated single-stream shim. -timeout arms a per-message I/O
 // deadline so a stalled client cannot pin a server worker; -failure-budget
 // turns away clients (by remote host) after N consecutive failed sessions;
-// -diff-workers controls how per-release deltas are computed: the default
-// -1 lets the self-selecting engine pick sequential or parallel per input,
-// 0 forces the sequential differencer, and N > 0 forces the parallel
-// sharded differencer with N workers — which matters on multi-core
-// servers prewarming long histories.
+// -diff names the differencing algorithm that computes per-release deltas
+// (default auto, the linear differencer; recipe diffs chunk recipes).
 //
 // -metrics-addr starts an HTTP listener serving the server's metrics
 // registry on /metrics (Prometheus-style text, or JSON with
@@ -58,8 +55,7 @@ func run(args []string) error {
 	nf.RegisterServer(fs)
 	nf.RegisterTransport(fs)
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics on this HTTP address (empty = disabled)")
-	diffWorkers := fs.Int("diff-workers", -1, "parallel diff workers (-1 = auto-select per input, 0 = sequential)")
-	diffName := fs.String("diff", "", "differencing algorithm by name (linear, parallel, recipe, ...); overrides -diff-workers")
+	diffName := fs.String("diff", "auto", "differencing algorithm by name (auto, linear, recipe, ...)")
 	verbose := fs.Bool("v", false, "log each session (structured, stderr)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -86,18 +82,11 @@ func run(args []string) error {
 		netupdate.WithObserver(reg),
 		netupdate.WithLogger(logger),
 	)
-	switch {
-	case *diffName != "":
-		algo, err := diff.ByName(*diffName)
-		if err != nil {
-			return err
-		}
-		srvOpts = append(srvOpts, netupdate.WithAlgorithm(algo))
-	case *diffWorkers > 0:
-		srvOpts = append(srvOpts, netupdate.WithAlgorithm(diff.NewParallel(*diffWorkers)))
-	case *diffWorkers < 0:
-		srvOpts = append(srvOpts, netupdate.WithAlgorithm(diff.NewAuto()))
+	algo, err := diff.ByName(*diffName)
+	if err != nil {
+		return err
 	}
+	srvOpts = append(srvOpts, netupdate.WithAlgorithm(algo))
 	srv, err := netupdate.NewServer(history, srvOpts...)
 	if err != nil {
 		return err

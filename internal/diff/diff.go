@@ -9,10 +9,6 @@
 //     fingerprinted with a Karp–Rabin rolling hash into a fixed-size table;
 //     the version is scanned once, extending verified seed matches forward
 //     and backward.
-//   - Parallel: the same algorithm sharded across worker goroutines — a
-//     lock-free concurrent build of the fingerprint index, segmented
-//     version scans into per-worker arenas, and a seam-merge stitch —
-//     for multi-core throughput at near-identical compression.
 //   - Greedy: a byte-granular greedy matcher with chained hash buckets in
 //     the style of Reichenberger, kept as the classical baseline. It finds
 //     longer matches at higher cost (quadratic in the worst case).
@@ -45,8 +41,6 @@ func ByName(name string) (Algorithm, error) {
 		return NewAuto(), nil
 	case "linear":
 		return NewLinear(), nil
-	case "parallel":
-		return NewParallel(0), nil
 	case "greedy":
 		return NewGreedy(), nil
 	case "blockwise":
@@ -178,25 +172,17 @@ func resolveAdds(cmds []delta.Command, arena []byte) {
 }
 
 // matchForward returns the length of the common prefix of ref[r:] and
-// version[v:].
+// version[v:]. It compares eight bytes per step: the XOR of two
+// little-endian words is zero while they agree, and its trailing zero
+// bits locate the first differing byte.
 //
 //ipvet:allocfree
 func matchForward(ref, version []byte, r, v int) int {
-	return matchForwardN(ref, version, r, v, len(version))
-}
-
-// matchForwardN is matchForward capped at max bytes, for extensions that
-// must not run past a neighbouring command's range. It compares eight
-// bytes per step: the XOR of two little-endian words is zero while they
-// agree, and its trailing zero bits locate the first differing byte.
-//
-//ipvet:allocfree
-func matchForwardN(ref, version []byte, r, v, max int) int {
 	if r >= len(ref) || v >= len(version) {
 		return 0
 	}
 	a, b := ref[r:], version[v:]
-	max = min(max, len(a), len(b))
+	max := min(len(a), len(b))
 	n := 0
 	for ; n+8 <= max; n += 8 {
 		if x := binary.LittleEndian.Uint64(a[n:]) ^ binary.LittleEndian.Uint64(b[n:]); x != 0 {
@@ -210,7 +196,7 @@ func matchForwardN(ref, version []byte, r, v, max int) int {
 }
 
 // matchBackward returns how many bytes before ref[r] and version[v] agree,
-// looking back at most maxBack bytes. It is matchForwardN mirrored: the
+// looking back at most maxBack bytes. It is matchForward mirrored: the
 // words are loaded big-endian, so the byte nearest the match start is
 // the least significant one.
 //

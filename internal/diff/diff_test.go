@@ -38,8 +38,41 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q) = %v, %v", name, a, err)
 		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("accepted unknown algorithm")
+	for _, name := range []string{"nope", "parallel"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("accepted unknown algorithm %q", name)
+		}
+	}
+}
+
+// TestAutoSelectsEngine pins the default name: "auto" resolves to the
+// Linear engine, and NewAuto's deltas are Linear's command for command.
+func TestAutoSelectsEngine(t *testing.T) {
+	a, err := ByName("auto")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := a.(*Linear); !ok {
+		t.Fatalf("ByName(auto) = %T, want *Linear", a)
+	}
+	rng := rand.New(rand.NewSource(59))
+	for _, size := range []int{0, 100, 64 << 10, 3 << 20} {
+		ref := make([]byte, size)
+		rng.Read(ref)
+		version := mutate(rng, ref, 1+size/4096)
+		want, err := NewLinear().Diff(ref, version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := roundTrip(t, NewAuto(), ref, version)
+		if len(got.Commands) != len(want.Commands) {
+			t.Fatalf("size=%d: auto emits %d commands, linear %d", size, len(got.Commands), len(want.Commands))
+		}
+		for k := range got.Commands {
+			if !got.Commands[k].Equal(want.Commands[k]) {
+				t.Fatalf("size=%d: command %d = %v, linear has %v", size, k, got.Commands[k], want.Commands[k])
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package diff
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"ipdelta/internal/delta"
 	"ipdelta/internal/obs"
@@ -103,6 +102,10 @@ func WithTableBits(bits uint) LinearOption {
 func WithObserver(r *obs.Registry) LinearOption {
 	return func(l *Linear) { l.obs = r }
 }
+
+// NewAuto returns the default differencer, registered as "auto" in ByName
+// and used by the servers when no engine is named. It is the Linear engine.
+func NewAuto(opts ...LinearOption) *Linear { return NewLinear(opts...) }
 
 // NewLinear returns a linear differencer with the given options applied.
 func NewLinear(opts ...LinearOption) *Linear {
@@ -205,10 +208,8 @@ func tableBitsFor(maxBits uint, indexed int) uint {
 
 // tableParams derives the index shape for one reference length: the
 // anchor stride, the table size 2^bits, and the checkpoint cut (see
-// krTable.admits). Linear, the sharded Parallel build and the recipe
-// window build all take their shape from here, so for equal inputs they
-// build byte-identical tables and compression differences can come only
-// from segment seams.
+// krTable.admits). Linear and the recipe window build both take their
+// shape from here, so for equal inputs they build byte-identical tables.
 //
 // While the stride-aligned anchors fit the table (<= 2^bits of them, all
 // references up to ~2 MiB at the defaults) the cut is 0 and every anchor
@@ -274,9 +275,8 @@ func (h *krHasher) roll(out, in byte) uint64 {
 // *slower* than one-shot because prepare cleared the whole table each
 // call; with tagging, stale entries are invalidated for free.)
 //
-// The packed layout also gives the parallel differ a lock-free build: a
-// single compare-and-swap installs generation and offset together, with
-// min-offset-wins preserving the sequential first-occurrence semantics.
+// A table belongs to one diff at a time (pooled per Linear, or owned by a
+// Differ), so entries are plain loads and stores.
 //
 // cut is the checkpoint filter tableParams derived for this reference;
 // the zero value admits every fingerprint.
@@ -302,10 +302,8 @@ func (t *krTable) prepare(bits uint, cut uint32) {
 	t.gen++
 	if t.gen == 0 {
 		// Generation wrap: ancient entries could alias the new generation,
-		// so pay the one clear per 2^32 diffs. prepare runs strictly before
-		// any builder goroutine starts, so the plain element writes cannot
-		// race the shards' atomic CAS traffic.
-		clear(t.entries) //ipvet:ignore atomicmix -- single-threaded phase, no concurrent builders yet
+		// so pay the one clear per 2^32 diffs.
+		clear(t.entries)
 		t.gen = 1
 	}
 }
@@ -322,15 +320,11 @@ func (t *krTable) admits(h uint64) bool {
 
 // insert records offset r for bucket b if the bucket is empty this
 // generation (first occurrence wins, matching the left-to-right scan).
-// The entries are CAS-written by insertMin when the parallel differ
-// shares a table, so even the sequential path goes through atomics —
-// free on 64-bit hardware, and it keeps the two paths raceless by
-// construction rather than by call-site discipline.
 //
 //ipvet:allocfree
 func (t *krTable) insert(b uint64, r int) {
-	if uint32(atomic.LoadUint64(&t.entries[b])>>32) != t.gen {
-		atomic.StoreUint64(&t.entries[b], uint64(t.gen)<<32|uint64(uint32(r+1)))
+	if uint32(t.entries[b]>>32) != t.gen {
+		t.entries[b] = uint64(t.gen)<<32 | uint64(uint32(r+1))
 	}
 }
 
@@ -343,29 +337,11 @@ func (t *krTable) lookup(h uint64) (int, bool) {
 	if !t.admits(h) {
 		return 0, false
 	}
-	e := atomic.LoadUint64(&t.entries[h&t.mask])
+	e := t.entries[h&t.mask]
 	if uint32(e>>32) != t.gen {
 		return 0, false
 	}
 	return int(uint32(e)) - 1, true
-}
-
-// insertMin atomically records offset r for bucket b, keeping the smallest
-// offset per generation. Concurrent builders over disjoint reference
-// shards converge on exactly the table the sequential insert produces.
-//
-//ipvet:allocfree
-func (t *krTable) insertMin(b uint64, r int) {
-	want := uint64(t.gen)<<32 | uint64(uint32(r+1))
-	for {
-		cur := atomic.LoadUint64(&t.entries[b])
-		if uint32(cur>>32) == t.gen && uint32(cur) <= uint32(r+1) {
-			return
-		}
-		if atomic.CompareAndSwapUint64(&t.entries[b], cur, want) {
-			return
-		}
-	}
 }
 
 // maxPooledScratch caps the literal arena a pooled differ state may keep.
@@ -447,134 +423,93 @@ func (l *Linear) scan(st *linearState, ref, version []byte) {
 			l.met.strided.Inc()
 		}
 	}
-	buildTable(&st.table, ref, p, 0, len(ref)-p+1, stride, false)
+	buildTable(&st.table, ref, p, stride)
 	if l.met != nil {
 		span.End()
 		span = l.met.emitStage.Start()
 	}
-	scanRange(&st.table, &st.e, ref, version, p, 0, len(version), 0)
+	scanRange(&st.table, &st.e, ref, version, p)
 	if l.met != nil {
 		span.End()
 	}
 }
 
-// alignUp returns the first multiple of stride at or after r. Anchors are
-// aligned to global stride multiples, not shard-local ones, so sharded
-// builders index exactly the position set the sequential build indexes.
+// buildTable indexes the reference seeds whose start offsets are
+// multiples of stride and are checkpoints (t.admits): table[h] maps the
+// fingerprint bucket h to the anchor's first occurrence. Below strideJump
+// the hash still rolls across every position (one cheap step per skipped
+// byte); at or above it each anchor is hashed from scratch with the
+// unrolled kernel and the skipped bytes are never touched.
 //
 //ipvet:allocfree
-func alignUp(r, stride int) int {
-	if rem := r % stride; rem != 0 {
-		return r + stride - rem
-	}
-	return r
-}
-
-// buildTable indexes the reference seeds whose start offsets lie in
-// [rlo, rhi), are multiples of stride, and are checkpoints (t.admits):
-// table[h] maps the fingerprint bucket h to the anchor's first
-// occurrence. Sequential first-wins inserts here; with shared set,
-// atomic min-wins inserts for concurrent builders over disjoint
-// reference shards — over the same position set the results are
-// identical. Below strideJump the hash still rolls across every position
-// (one cheap step per skipped byte); at or above it each anchor is
-// hashed from scratch with the unrolled kernel and the skipped bytes are
-// never touched.
-//
-//ipvet:allocfree
-func buildTable(t *krTable, ref []byte, p, rlo, rhi, stride int, shared bool) {
-	if rlo >= rhi {
+func buildTable(t *krTable, ref []byte, p, stride int) {
+	nseeds := len(ref) - p + 1
+	if nseeds <= 0 {
 		return
 	}
 	if stride >= strideJump {
-		for r := alignUp(rlo, stride); r < rhi; r += stride {
-			h := krHash(ref[r : r+p])
-			switch {
-			case !t.admits(h):
-			case shared:
-				t.insertMin(h&t.mask, r)
-			default:
+		for r := 0; r < nseeds; r += stride {
+			if h := krHash(ref[r : r+p]); t.admits(h) {
 				t.insert(h&t.mask, r)
 			}
 		}
 		return
 	}
 	rh := newKRHasher(p)
-	rh.init(ref[rlo : rlo+p])
-	next := alignUp(rlo, stride)
-	for r := rlo; ; r++ {
+	rh.init(ref[:p])
+	next := 0
+	for r := 0; ; r++ {
 		if r == next {
-			switch h := rh.hash; {
-			case !t.admits(h):
-			case shared:
-				t.insertMin(h&t.mask, r)
-			default:
+			if h := rh.hash; t.admits(h) {
 				t.insert(h&t.mask, r)
 			}
 			next += stride
 		}
-		if r+1 >= rhi {
+		if r+1 >= nseeds {
 			break
 		}
 		rh.roll(ref[r], ref[r+p])
 	}
 }
 
-// scanRange scans version[start:end) against the indexed reference,
-// emitting commands into e that cover exactly those bytes. Seed windows
-// may read past end (the overlap window of a parallel segment scan —
-// capped at len(version)); emitted copies never write past end, and
-// backward extension never crosses start, so per-segment outputs
-// concatenate into a well-formed delta. minCopy suppresses boundary-capped
-// copies shorter than the seed would allow (0 keeps every verified match).
+// scanRange scans the whole version against the indexed reference,
+// emitting commands into e that cover it exactly.
 //
 //ipvet:allocfree
-func scanRange(t *krTable, e *emitter, ref, version []byte, p, start, end, minCopy int) {
-	if start >= end {
+func scanRange(t *krTable, e *emitter, ref, version []byte, p int) {
+	if p > len(version) {
+		e.literal(version)
 		return
 	}
-	v := start
-	lit := start // start of the current unmatched literal run
-	if v+p > len(version) {
-		e.literal(version[lit:end])
-		return
-	}
+	v := 0
+	lit := 0 // start of the current unmatched literal run
 	vh := newKRHasher(p)
-	vh.init(version[v : v+p])
+	vh.init(version[:p])
 	for {
-		matched := false
 		if r, ok := t.lookup(vh.hash); ok {
 			// Verify and extend in one pass: fingerprints collide,
 			// bytes decide.
 			if fwd := matchForward(ref, version, r, v); fwd >= p {
-				if v+fwd > end {
-					fwd = end - v
-				}
 				back := matchBackward(ref, version, r, v, v-lit)
-				if fwd+back >= minCopy {
-					// Emit literals preceding the (extended) match.
-					e.literal(version[lit : v-back])
-					e.copyCmd(int64(r-back), int64(fwd+back))
-					v += fwd
-					lit = v
-					matched = true
+				// Emit literals preceding the (extended) match.
+				e.literal(version[lit : v-back])
+				e.copyCmd(int64(r-back), int64(fwd+back))
+				v += fwd
+				lit = v
+				if v+p > len(version) {
+					break
 				}
+				vh.init(version[v : v+p])
+				continue
 			}
 		}
-		if matched {
-			if v >= end || v+p > len(version) {
-				break
-			}
-			vh.init(version[v : v+p])
-			continue
-		}
-		if v+1 >= end || v+1+p > len(version) {
+		if v+1+p > len(version) {
 			break
 		}
 		vh.roll(version[v], version[v+p])
 		v++
 	}
-	e.literal(version[lit:end])
+	e.literal(version[lit:])
 }
 
 // Differ is a reusable linear differencer for single-threaded steady-state

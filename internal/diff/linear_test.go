@@ -59,16 +59,10 @@ func checkReconstructs(t *testing.T, d *delta.Delta, ref, version []byte) {
 // where the index changes shape: at 1 MiB every anchor fits the table, at
 // 16 MiB and beyond only checkpoints are indexed. Every engine must send
 // no more than 1.1× the churned bytes as literals at every size — the
-// bound a saturated first-wins table broke above a few MiB.
+// bound a saturated first-wins table broke above a few MiB. The recipe
+// engine builds its window tables from the same tableParams, so it runs
+// under the same bound.
 func TestCompressionBoundSweep(t *testing.T) {
-	engines := []struct {
-		name string
-		algo Algorithm
-	}{
-		{"linear", NewLinear()},
-		{"parallel2", NewParallel(2)},
-		{"auto", NewAuto()},
-	}
 	for i, size := range []int{1 << 20, 16 << 20, 64 << 20, 256 << 20} {
 		t.Run(fmt.Sprintf("%dMiB", size>>20), func(t *testing.T) {
 			if size > 16<<20 && testing.Short() {
@@ -76,6 +70,16 @@ func TestCompressionBoundSweep(t *testing.T) {
 			}
 			if size > 16<<20 && raceEnabled {
 				t.Skip("large input; race instrumentation multiplies its memory and time")
+			}
+			// Fresh engines per size, so the recipe engine's chunk store
+			// holds only this size's images.
+			engines := []struct {
+				name string
+				algo Algorithm
+			}{
+				{"linear", NewLinear()},
+				{"auto", NewAuto()},
+				{"recipe", NewRecipeAlgo()},
 			}
 			ref, version, churn := blockyPair(size, int64(i+1))
 			for _, e := range engines {
@@ -156,7 +160,7 @@ func TestCheckpointFilterSamplesUniformly(t *testing.T) {
 	}
 	var tb krTable
 	tb.prepare(bits, cut)
-	buildTable(&tb, ref, 16, 0, size-15, stride, false)
+	buildTable(&tb, ref, 16, stride)
 	var eighths [8]int
 	total := 0
 	for _, e := range tb.entries {
@@ -175,47 +179,11 @@ func TestCheckpointFilterSamplesUniformly(t *testing.T) {
 	}
 }
 
-// TestShardedBuildMatchesSequentialCheckpointed builds a checkpointed
-// table once sequentially and once from concurrent reference shards: the
-// shards must apply the identical filter and converge on the same
-// entries, which is what keeps Parallel byte-equivalent to Linear.
-func TestShardedBuildMatchesSequentialCheckpointed(t *testing.T) {
-	const size = 6<<20 + 5
-	ref := make([]byte, size)
-	rand.New(rand.NewSource(11)).Read(ref)
-	stride, bits, cut := tableParams(16, 18, size)
-	if cut == 0 {
-		t.Fatal("reference too small to engage the checkpoint filter")
-	}
-	nseeds := size - 16 + 1
-	var seq krTable
-	seq.prepare(bits, cut)
-	buildTable(&seq, ref, 16, 0, nseeds, stride, false)
-	for _, shards := range []int{2, 3, 8} {
-		var par krTable
-		par.prepare(bits, cut)
-		var wg sync.WaitGroup
-		wg.Add(shards)
-		for i := 0; i < shards; i++ {
-			go func(lo, hi int) {
-				defer wg.Done()
-				buildTable(&par, ref, 16, lo, hi, stride, true)
-			}(i*nseeds/shards, (i+1)*nseeds/shards)
-		}
-		wg.Wait()
-		for k := range seq.entries {
-			if seq.entries[k] != par.entries[k] {
-				t.Fatalf("%d shards: slot %d = %#x, sequential build has %#x", shards, k, par.entries[k], seq.entries[k])
-			}
-		}
-	}
-}
-
 // matchForwardBytes and matchBackwardBytes are the byte-at-a-time
 // definitions the word-wide kernels must agree with.
-func matchForwardBytes(ref, version []byte, r, v, max int) int {
+func matchForwardBytes(ref, version []byte, r, v int) int {
 	n := 0
-	for n < max && r+n < len(ref) && v+n < len(version) && ref[r+n] == version[v+n] {
+	for r+n < len(ref) && v+n < len(version) && ref[r+n] == version[v+n] {
 		n++
 	}
 	return n
@@ -230,9 +198,9 @@ func matchBackwardBytes(ref, version []byte, r, v, maxBack int) int {
 }
 
 // TestMatchKernelsAgreeWithBytewise places a single differing byte at
-// every distance from the start, under every alignment and cap, and
-// requires the word-wide extension kernels to report exactly what a
-// byte-by-byte comparison reports.
+// every distance from the start, under every alignment (and, backward,
+// every cap), and requires the word-wide extension kernels to report
+// exactly what a byte-by-byte comparison reports.
 func TestMatchKernelsAgreeWithBytewise(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	base := make([]byte, 96)
@@ -247,12 +215,7 @@ func TestMatchKernelsAgreeWithBytewise(t *testing.T) {
 				if v+diffAt < len(version) {
 					version[v+diffAt] ^= 0x40
 				}
-				for _, max := range []int{-1, 0, 1, 7, 8, 9, 17, 200} {
-					if got, want := matchForwardN(ref, version, r, v, max), matchForwardBytes(ref, version, r, v, max); got != want {
-						t.Fatalf("matchForwardN(r=%d v=%d diff=%d max=%d) = %d, want %d", r, v, diffAt, max, got, want)
-					}
-				}
-				if got, want := matchForward(ref, version, r, v), matchForwardBytes(ref, version, r, v, len(version)); got != want {
+				if got, want := matchForward(ref, version, r, v), matchForwardBytes(ref, version, r, v); got != want {
 					t.Fatalf("matchForward(r=%d v=%d diff=%d) = %d, want %d", r, v, diffAt, got, want)
 				}
 				// Backward from the end of the shared run.
@@ -294,11 +257,74 @@ func TestLargeScratchIsNotPooled(t *testing.T) {
 	if st, _ := l.pool.Get().(*linearState); st != nil && cap(st.e.lits) > maxPooledScratch {
 		t.Fatalf("Linear pooled a %d-byte literal arena", cap(st.e.lits))
 	}
-	pl := NewParallel(2)
-	if _, err := pl.Diff(ref, version); err != nil {
-		t.Fatal(err)
+}
+
+// TestLinearConcurrentDiffsMatchSequential shares one *Linear between
+// eight goroutines diffing different pairs, half below and half above the
+// size where the table switches to checkpoints, so pooled states of both
+// shapes pass between goroutines. Every delta must reconstruct its
+// version and equal what the same pair produced sequentially. Run it
+// under -race: the fingerprint table is plain memory, owned by one diff
+// at a time.
+func TestLinearConcurrentDiffsMatchSequential(t *testing.T) {
+	const small, large = 256 << 10, 4<<20 + 13
+	if _, _, cut := tableParams(16, 18, small); cut != 0 {
+		t.Fatal("small case engages the checkpoint filter")
 	}
-	if st, _ := pl.pool.Get().(*parallelState); st != nil && cap(st.arena) > maxPooledScratch {
-		t.Fatalf("Parallel pooled a %d-byte arena", cap(st.arena))
+	if _, _, cut := tableParams(16, 18, large); cut == 0 {
+		t.Fatal("large case does not engage the checkpoint filter")
+	}
+	const workers = 8
+	type pair struct {
+		ref, version []byte
+		want         *delta.Delta
+	}
+	l := NewLinear()
+	pairs := make([]pair, workers)
+	for g := range pairs {
+		size := small
+		if g%2 == 1 {
+			size = large
+		}
+		ref, version, _ := blockyPair(size, int64(100+g))
+		want, err := l.Diff(ref, version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs[g] = pair{ref, version, want}
+	}
+	errs := make([]error, workers)
+	got := make([][]*delta.Delta, workers)
+	var wg sync.WaitGroup
+	for g := range pairs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for range 3 {
+				d, err := l.Diff(pairs[g].ref, pairs[g].version)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				got[g] = append(got[g], d)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, p := range pairs {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for _, d := range got[g] {
+			checkReconstructs(t, d, p.ref, p.version)
+			if len(d.Commands) != len(p.want.Commands) {
+				t.Fatalf("goroutine %d: %d commands, sequential diff has %d", g, len(d.Commands), len(p.want.Commands))
+			}
+			for k := range d.Commands {
+				if !d.Commands[k].Equal(p.want.Commands[k]) {
+					t.Fatalf("goroutine %d: command %d = %v, sequential diff has %v", g, k, d.Commands[k], p.want.Commands[k])
+				}
+			}
+		}
 	}
 }

@@ -212,7 +212,7 @@ func (rd *RecipeDiffer) diffRun(st *recipeState, newR chunk.Recipe, a, b int, ol
 		}
 		stride, bits, cut := tableParams(rd.seedLen, rd.maxBits, len(st.oldWin))
 		st.table.prepare(bits, cut)
-		buildTable(&st.table, st.oldWin, rd.seedLen, 0, len(st.oldWin)-rd.seedLen+1, stride, false)
+		buildTable(&st.table, st.oldWin, rd.seedLen, stride)
 		haveTable = true
 		if rd.met != nil {
 			rd.met.runWindows.Inc()
@@ -231,7 +231,7 @@ func (rd *RecipeDiffer) diffRun(st *recipeState, newR chunk.Recipe, a, b int, ol
 			st.e.literal(st.newSeg)
 		} else {
 			mark := len(st.e.cmds)
-			scanRange(&st.table, &st.e, st.oldWin, st.newSeg, rd.seedLen, 0, len(st.newSeg), 0)
+			scanRange(&st.table, &st.e, st.oldWin, st.newSeg, rd.seedLen)
 			// scanRange emitted copies relative to the window; rebase them
 			// to absolute old-file offsets. Adds stash arena offsets in
 			// From and must not be touched.

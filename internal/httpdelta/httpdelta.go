@@ -83,19 +83,10 @@ func resolveResourceMetrics(r *obs.Registry) *resourceMetrics {
 // ResourceOption customizes a Resource.
 type ResourceOption func(*Resource)
 
-// WithAlgorithm selects the differencing algorithm (default auto, which
-// picks the sequential or parallel engine per update from body size and
-// GOMAXPROCS).
+// WithAlgorithm selects the differencing algorithm (default auto, the
+// Linear engine).
 func WithAlgorithm(a diff.Algorithm) ResourceOption {
 	return func(r *Resource) { r.algo = a }
-}
-
-// WithParallelDiff computes deltas with the parallel sharded differencer
-// using the given worker count (<= 0 means GOMAXPROCS). Worth enabling on
-// multi-core origins where Update's diff of each live version dominates
-// publish latency; shorthand for WithAlgorithm(diff.NewParallel(workers)).
-func WithParallelDiff(workers int) ResourceOption {
-	return func(r *Resource) { r.algo = diff.NewParallel(workers) }
 }
 
 // WithMaxVersions bounds how many old versions stay delta-servable

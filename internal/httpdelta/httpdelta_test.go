@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ipdelta/internal/corpus"
+	"ipdelta/internal/diff"
 )
 
 func newPage(seed int64) []byte {
@@ -67,9 +68,11 @@ func TestDeltaEncodedFetches(t *testing.T) {
 	}
 }
 
-func TestParallelDiffOption(t *testing.T) {
+// TestAlgorithmOption serves deltas from a non-default differencer: the
+// warm fetch must reproduce the new body and stay delta-sized.
+func TestAlgorithmOption(t *testing.T) {
 	v1 := newPage(7)
-	res := NewResource(v1, WithParallelDiff(4))
+	res := NewResource(v1, WithAlgorithm(diff.NewRecipeAlgo()))
 	srv := httptest.NewServer(res)
 	defer srv.Close()
 
@@ -85,10 +88,10 @@ func TestParallelDiffOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, v2) {
-		t.Fatal("warm fetch mismatch with parallel differencer")
+		t.Fatal("warm fetch mismatch with recipe differencer")
 	}
 	if warm := c.TransferredBytes() - cold; warm > int64(len(v2))/10 {
-		t.Fatalf("parallel diff transferred %d of %d bytes; delta encoding degraded", warm, len(v2))
+		t.Fatalf("recipe diff transferred %d of %d bytes; delta encoding degraded", warm, len(v2))
 	}
 }
 
