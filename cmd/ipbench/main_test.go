@@ -3,9 +3,11 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func TestRunQuickExperiments(t *testing.T) {
@@ -67,7 +69,7 @@ func TestRunBenchBaseline(t *testing.T) {
 	}
 	want := map[string]bool{
 		"convert/one-shot": false, "convert/reuse": false, "crwi/build": false,
-		"diff/one-shot": false, "diff/reuse": false, "batch/4": false,
+		"validate/inplace": false, "diff/one-shot": false, "diff/reuse": false, "batch/4": false,
 		"chunk/split/1MiB": false, "chunk/ingest/1MiB": false,
 		"recipe/diff/1MiB": false, "diff/full/1MiB": false,
 	}
@@ -97,6 +99,9 @@ func TestRunBenchBaseline(t *testing.T) {
 		t.Errorf("diff/reuse allocates more than one-shot: %d > %d",
 			ns["diff/reuse"].AllocsPerOp, ns["diff/one-shot"].AllocsPerOp)
 	}
+	if n := ns["validate/inplace"].AllocsPerOp; n != 0 {
+		t.Errorf("validate/inplace: %d allocs/op, want 0", n)
+	}
 	if err := run([]string{"-bench-baseline", "-baseline-out", "/definitely/missing/dir/out.json", "-quick"}); err == nil {
 		t.Error("unwritable baseline path accepted")
 	}
@@ -120,5 +125,36 @@ func TestRunRecipeGate(t *testing.T) {
 	var g errRecipeGate
 	if !errors.As(err, &g) {
 		t.Fatalf("want errRecipeGate, got %v", err)
+	}
+}
+
+// TestMeasureSlowRowIsWarm checks that a row whose single op outlasts the
+// bench time is reported from a warm run: testing.Benchmark alone would
+// report its first b.N=1 run, cold scratch allocation included.
+func TestMeasureSlowRowIsWarm(t *testing.T) {
+	bt := flag.Lookup("test.benchtime")
+	old := bt.Value.String()
+	if err := bt.Value.Set("20ms"); err != nil {
+		t.Fatal(err)
+	}
+	defer bt.Value.Set(old)
+	var scratch []byte
+	var doc baselineDoc
+	doc.measure("slow", 0, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if scratch == nil {
+				scratch = make([]byte, 1<<20) // first use only
+			}
+			for start := time.Now(); time.Since(start) < 30*time.Millisecond; {
+				scratch[0]++
+			}
+		}
+	})
+	r := doc.Results[0]
+	if r.Iters != 1 {
+		t.Fatalf("row ran %d iterations; the test needs a single slow one", r.Iters)
+	}
+	if r.AllocsPerOp != 0 {
+		t.Errorf("slow row reports %d allocs/op from its cold run, want 0", r.AllocsPerOp)
 	}
 }

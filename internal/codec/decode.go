@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 
@@ -37,6 +36,7 @@ type Decoder struct {
 	// streaming mode state (see NextStreaming).
 	streaming bool
 	pending   int64
+	payload   payloadReader // returned for every streamed add
 	// compact-format section state
 	copiesLeft int
 	addsLeft   int
@@ -215,7 +215,7 @@ func (d *Decoder) scratchCommand() (delta.Command, error) {
 }
 
 func (d *Decoder) verify() error {
-	want := d.r.crc.Sum32()
+	want := d.r.crc
 	var buf [4]byte
 	if err := d.r.readRaw(buf[:]); err != nil {
 		return fmt.Errorf("%w: checksum", ErrTruncated)
@@ -475,21 +475,32 @@ func decode(r io.Reader) (*delta.Delta, Format, int64, error) {
 // crcReader tracks the CRC32 and count of all bytes read through it.
 type crcReader struct {
 	r   *bufio.Reader
-	crc hash.Hash32
+	crc uint32
 	n   int64
 }
 
 func newCRCReader(r io.Reader) *crcReader {
-	return &crcReader{r: bufio.NewReader(r), crc: crc32.NewIEEE()}
+	return &crcReader{r: bufio.NewReader(r)}
 }
 
+// consume hashes and counts p, which must be the next len(p) buffered
+// bytes, and discards them from the buffer.
+//
+//ipvet:allocfree
+func (c *crcReader) consume(p []byte) {
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
+	c.n += int64(len(p))
+	_, _ = c.r.Discard(len(p)) // p is buffered, so Discard cannot fall short
+}
+
+//ipvet:allocfree
 func (c *crcReader) readByte() (byte, error) {
-	b, err := c.r.ReadByte()
+	p, err := c.r.Peek(1)
 	if err != nil {
 		return 0, err
 	}
-	c.crc.Write([]byte{b})
-	c.n++
+	b := p[0]
+	c.consume(p)
 	return b, nil
 }
 
@@ -497,7 +508,7 @@ func (c *crcReader) readFull(p []byte) error {
 	if _, err := io.ReadFull(c.r, p); err != nil {
 		return err
 	}
-	c.crc.Write(p)
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
 	c.n += int64(len(p))
 	return nil
 }
@@ -509,23 +520,60 @@ func (c *crcReader) readRaw(p []byte) error {
 	return err
 }
 
+// buffered returns up to binary.MaxVarintLen64 bytes already in the read
+// buffer, without blocking for more: a varint at the end of a stream may
+// be followed by fewer bytes than that.
+//
+//ipvet:allocfree
+func (c *crcReader) buffered() []byte {
+	p, _ := c.r.Peek(min(c.r.Buffered(), binary.MaxVarintLen64))
+	return p
+}
+
+// readUvarint decodes a varint straight from the read buffer. A varint the
+// buffer does not hold whole (it straddles a refill or the end of input)
+// or a malformed one takes the byte-at-a-time path, whose errors are
+// binary.ReadUvarint's.
+//
+//ipvet:allocfree
 func (c *crcReader) readUvarint() (uint64, error) {
-	return binary.ReadUvarint(byteReaderFunc(c.readByte))
+	if p := c.buffered(); len(p) > 0 {
+		if v, n := binary.Uvarint(p); n > 0 {
+			c.consume(p[:n])
+			return v, nil
+		}
+	}
+	return binary.ReadUvarint(c)
 }
 
+// readVarint is readUvarint for zig-zag signed varints.
+//
+//ipvet:allocfree
 func (c *crcReader) readVarint() (int64, error) {
-	return binary.ReadVarint(byteReaderFunc(c.readByte))
+	if p := c.buffered(); len(p) > 0 {
+		if v, n := binary.Varint(p); n > 0 {
+			c.consume(p[:n])
+			return v, nil
+		}
+	}
+	return binary.ReadVarint(c)
 }
 
+// ReadByte implements io.ByteReader for the byte-at-a-time varint path.
+func (c *crcReader) ReadByte() (byte, error) { return c.readByte() }
+
+// readUint reads a big-endian unsigned integer of width (at most 8) bytes.
+//
+//ipvet:allocfree
 func (c *crcReader) readUint(width int) (uint64, error) {
-	var buf [8]byte
-	if err := c.readFull(buf[8-width:]); err != nil {
+	p, err := c.r.Peek(width)
+	if err != nil {
 		return 0, err
 	}
-	return binary.BigEndian.Uint64(buf[:]), nil
+	var v uint64
+	for _, b := range p {
+		v = v<<8 | uint64(b)
+	}
+	c.consume(p)
+	return v, nil
 }
-
-// byteReaderFunc adapts a func to io.ByteReader for binary.ReadUvarint.
-type byteReaderFunc func() (byte, error)
-
-func (f byteReaderFunc) ReadByte() (byte, error) { return f() }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 
@@ -52,55 +51,59 @@ func EncodedSize(d *delta.Delta, f Format) (int64, error) {
 }
 
 // crcWriter counts bytes and maintains the running CRC32 of everything
-// written through it.
+// written through it. Varints and single bytes are staged in its own
+// scratch array, so writing them does not allocate.
 type crcWriter struct {
 	w   *bufio.Writer
-	crc hash.Hash32
+	crc uint32
 	n   int64
+	buf [binary.MaxVarintLen64]byte
 }
 
 func newCRCWriter(w io.Writer) *crcWriter {
-	return &crcWriter{w: bufio.NewWriter(w), crc: crc32.NewIEEE()}
+	return &crcWriter{w: bufio.NewWriter(w)}
 }
 
+//ipvet:allocfree
 func (c *crcWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
-	c.crc.Write(p[:n])
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
 	c.n += int64(n)
 	return n, err
 }
 
+//ipvet:allocfree
 func (c *crcWriter) writeByte(b byte) error {
-	_, err := c.Write([]byte{b})
+	c.buf[0] = b
+	_, err := c.Write(c.buf[:1])
 	return err
 }
 
+//ipvet:allocfree
 func (c *crcWriter) writeUvarint(v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := c.Write(buf[:n])
+	n := binary.PutUvarint(c.buf[:], v)
+	_, err := c.Write(c.buf[:n])
 	return err
 }
 
+//ipvet:allocfree
 func (c *crcWriter) writeVarint(v int64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	_, err := c.Write(buf[:n])
+	n := binary.PutVarint(c.buf[:], v)
+	_, err := c.Write(c.buf[:n])
 	return err
 }
 
+//ipvet:allocfree
 func (c *crcWriter) writeUint(v uint64, width int) error {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], v)
-	_, err := c.Write(buf[8-width:])
+	binary.BigEndian.PutUint64(c.buf[:8], v)
+	_, err := c.Write(c.buf[8-width : 8])
 	return err
 }
 
 // finish appends the CRC (not hashed, of course) and flushes.
 func (c *crcWriter) finish() error {
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], c.crc.Sum32())
-	n, err := c.w.Write(buf[:])
+	binary.BigEndian.PutUint32(c.buf[:4], c.crc)
+	n, err := c.w.Write(c.buf[:4])
 	c.n += int64(n)
 	if err != nil {
 		return err
@@ -354,18 +357,22 @@ func (e *encoder) legacyCommand(c delta.Command, offsets bool) error {
 // the write offset, then an add section whose write offsets are
 // delta-encoded from the end of the previous add.
 func (e *encoder) compactBody(cmds []delta.Command) error {
-	var copies, adds []delta.Command
+	// Two passes over cmds, one per section, instead of splitting it into
+	// fresh copy and add slices: the encoder's allocations stay independent
+	// of the command count.
+	copies := 0
 	for _, c := range cmds {
 		if c.Op == delta.OpCopy {
-			copies = append(copies, c)
-		} else {
-			adds = append(adds, c)
+			copies++
 		}
 	}
-	if err := e.w.writeUvarint(uint64(len(copies))); err != nil {
+	if err := e.w.writeUvarint(uint64(copies)); err != nil {
 		return err
 	}
-	for _, c := range copies {
+	for _, c := range cmds {
+		if c.Op != delta.OpCopy {
+			continue
+		}
 		if err := e.w.writeUvarint(uint64(c.To)); err != nil {
 			return err
 		}
@@ -376,11 +383,14 @@ func (e *encoder) compactBody(cmds []delta.Command) error {
 			return err
 		}
 	}
-	if err := e.w.writeUvarint(uint64(len(adds))); err != nil {
+	if err := e.w.writeUvarint(uint64(len(cmds) - copies)); err != nil {
 		return err
 	}
 	prevEnd := int64(0)
-	for _, c := range adds {
+	for _, c := range cmds {
+		if c.Op == delta.OpCopy {
+			continue
+		}
 		if err := e.w.writeVarint(c.To - prevEnd); err != nil {
 			return err
 		}

@@ -28,7 +28,8 @@ func (d *Decoder) NextStreaming() (delta.Command, io.Reader, error) {
 	}
 	if c.Op == delta.OpAdd {
 		d.pending = c.Length
-		return c, &payloadReader{d: d}, nil
+		d.payload.d = d
+		return c, &d.payload, nil
 	}
 	return c, nil, nil
 }

@@ -18,8 +18,13 @@ package delta
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"sort"
+	"sync"
 
 	"ipdelta/internal/interval"
 )
@@ -222,41 +227,135 @@ func (e *ValidationError) Unwrap() error { return e.Cause }
 // Validate checks that the delta is well formed: every command has a valid
 // opcode, positive length, in-bounds read and write intervals, add data
 // lengths agree, the write intervals are pairwise disjoint, and together
-// they cover [0, VersionLen-1] exactly.
+// they cover [0, VersionLen-1] exactly. It draws its working memory from a
+// pool, so a steady-state caller validates without allocating.
 func (d *Delta) Validate() error {
-	var v Validator
-	return v.Validate(d)
+	v := validators.Get().(*Validator)
+	err := v.Validate(d)
+	validators.Put(v)
+	return err
 }
 
-// Validator runs delta validation over a reusable interval set, so a
-// steady-state pipeline (one converter validating every incoming delta)
-// performs no per-call allocations. The zero value is ready for use; a
-// Validator must not be used concurrently. Validate on a Validator checks
-// exactly what (*Delta).Validate checks.
+// validators pools the scratch behind (*Delta).Validate.
+var validators = sync.Pool{New: func() any { return new(Validator) }}
+
+// Validator runs delta validation over reusable scratch, so a steady-state
+// pipeline (one converter validating every incoming delta) performs no
+// per-call allocations. The zero value is ready for use; a Validator must
+// not be used concurrently. Validate on a Validator checks exactly what
+// (*Delta).Validate checks.
+//
+// Validation sorts and sweeps: one pass in command order checks each
+// command and collects its write interval, the intervals are sorted by
+// start (skipped when they already arrive in write order), and a sweep
+// requires each to begin exactly where the previous one ended. That is
+// O(n log n) for n commands — the bound of the paper's conversion, whose
+// output arrives in topological rather than write order.
 type Validator struct {
-	written interval.Set
+	writes []writeSpan
 }
+
+// writeSpan is the version-file interval [lo, end) command index writes.
+type writeSpan struct {
+	lo, end int64
+	index   int
+}
+
+// writesByStart orders write spans by their first offset.
+//
+//ipvet:allocfree
+func writesByStart(a, b writeSpan) int { return cmp.Compare(a.lo, b.lo) }
 
 // Validate implements (*Delta).Validate over the validator's scratch.
+//
+// The reported fault is the one an online check in command order would
+// meet first: a command that fails its own checks, or one whose write
+// interval overlaps an earlier command's, whichever has the lower index
+// (the command's own checks first on a tie); then a coverage gap; then the
+// stash bookkeeping.
 func (v *Validator) Validate(d *Delta) error {
-	v.written.Reset()
-	for k, c := range d.Commands {
-		if err := d.validateCommand(c); err != nil {
-			return &ValidationError{Index: k, Cmd: c, Cause: err}
-		}
-		w := c.WriteInterval()
-		if v.written.Overlaps(w) {
-			return &ValidationError{Index: k, Cmd: c, Cause: ErrOverlap}
-		}
-		v.written.Add(w)
+	bad, cause := v.collect(d)
+	if k := firstOverlap(v.writes, len(d.Commands)); k >= 0 {
+		return &ValidationError{Index: k, Cmd: d.Commands[k], Cause: ErrOverlap}
 	}
-	if v.written.Total() != d.VersionLen {
-		return &ValidationError{Index: -1, Cause: ErrCoverage}
+	if bad >= 0 {
+		return &ValidationError{Index: bad, Cmd: d.Commands[bad], Cause: cause}
 	}
-	if d.VersionLen > 0 && !v.written.ContainsInterval(interval.FromRange(0, d.VersionLen)) {
+	var at int64
+	for _, w := range v.writes {
+		if w.lo != at {
+			return &ValidationError{Index: -1, Cause: ErrCoverage}
+		}
+		at = w.end
+	}
+	if at != d.VersionLen {
 		return &ValidationError{Index: -1, Cause: ErrCoverage}
 	}
 	return d.validateScratch()
+}
+
+// collect checks each command in order until one fails, gathering the
+// write spans of the commands before it sorted by start. It returns the
+// failing command's index and cause, or -1 when every command passes.
+//
+//ipvet:allocfree
+func (v *Validator) collect(d *Delta) (int, error) {
+	if cap(v.writes) < len(d.Commands) {
+		v.writes = make([]writeSpan, 0, len(d.Commands)) //ipvet:ignore allocfree -- one allocation per capacity growth, reused once warm
+	}
+	v.writes = v.writes[:0]
+	bad, sorted := -1, true
+	var cause error
+	for k, c := range d.Commands {
+		if err := d.validateCommand(c); err != nil {
+			bad, cause = k, err
+			break
+		}
+		if c.Op == OpStash {
+			continue // writes only to scratch
+		}
+		// validateCommand bounded To+Length by VersionLen: no overflow.
+		w := writeSpan{lo: c.To, end: c.To + c.Length, index: k}
+		if n := len(v.writes); n > 0 && w.lo < v.writes[n-1].lo {
+			sorted = false
+		}
+		v.writes = append(v.writes, w)
+	}
+	if !sorted {
+		slices.SortFunc(v.writes, writesByStart)
+	}
+	return bad, cause
+}
+
+// firstOverlap returns the lowest command index whose write span overlaps
+// the span of a lower-indexed command, or -1 when ws (sorted by start, all
+// indices below n) is pairwise disjoint.
+func firstOverlap(ws []writeSpan, n int) int {
+	if !overlapsBelow(ws, math.MaxInt) {
+		return -1
+	}
+	// Whether the commands below a limit overlap is monotone in the limit,
+	// so the first overlapping command is found by bisection: O(n log n),
+	// paid only by a rejected delta.
+	return sort.Search(n, func(k int) bool { return overlapsBelow(ws, k+1) })
+}
+
+// overlapsBelow reports whether two spans of ws (sorted by start) with
+// command index below limit overlap.
+//
+//ipvet:allocfree
+func overlapsBelow(ws []writeSpan, limit int) bool {
+	end := int64(math.MinInt64)
+	for _, w := range ws {
+		if w.index >= limit {
+			continue
+		}
+		if w.lo < end {
+			return true
+		}
+		end = max(end, w.end)
+	}
+	return false
 }
 
 func (d *Delta) validateCommand(c Command) error {

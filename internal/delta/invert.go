@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-
-	"ipdelta/internal/interval"
 )
 
 // Invert computes the reverse delta: given d encoding version V from
@@ -30,7 +28,6 @@ func Invert(d *Delta, ref []byte) (*Delta, error) {
 	// Collect inverse copies: writes into R-space, trimmed to disjointness.
 	type span struct{ from, to, length int64 } // from in V-space, to in R-space
 	var spans []span
-	covered := interval.NewSet()
 	// Deterministic processing order: by R offset, longest first, so the
 	// largest copies win the overlap trims.
 	copies := make([]Command, 0, len(d.Commands))
@@ -45,34 +42,20 @@ func Invert(d *Delta, ref []byte) (*Delta, error) {
 		}
 		return cmp.Compare(b.Length, a.Length)
 	})
+	// Every copy processed so far starts at or before c.From, so the part
+	// of [c.From, c.From+c.Length) they cover is a prefix ending at their
+	// high-water mark covered: whatever survives the trim is one tail span.
+	// The tails come out in increasing R offset.
+	var covered int64
 	for _, c := range copies {
-		// Trim [c.From, c.From+c.Length) against what is already covered,
-		// emitting the surviving sub-intervals.
-		lo := c.From
-		end := c.From + c.Length
-		for lo < end {
-			// Skip covered prefix.
-			for lo < end && covered.Contains(lo) {
-				lo++
-			}
-			if lo >= end {
-				break
-			}
-			hi := lo
-			for hi < end && !covered.Contains(hi) {
-				hi++
-			}
-			spans = append(spans, span{
-				from:   c.To + (lo - c.From),
-				to:     lo,
-				length: hi - lo,
-			})
-			covered.Add(interval.Interval{Lo: lo, Hi: hi - 1})
-			lo = hi
+		lo, end := max(c.From, covered), c.From+c.Length
+		if lo >= end {
+			continue
 		}
+		spans = append(spans, span{from: c.To + (lo - c.From), to: lo, length: end - lo})
+		covered = end
 	}
 
-	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.to, b.to) })
 	// Emit in R write order, filling gaps with literals from R.
 	var at int64
 	for _, s := range spans {

@@ -2,9 +2,13 @@ package delta
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"ipdelta/internal/interval"
 )
 
 func TestInvertBasic(t *testing.T) {
@@ -191,5 +195,101 @@ func TestQuickInvertComposeDuality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// invertByteTrim is Invert as first written: each sorted copy's read
+// interval is trimmed against an interval set of what earlier copies
+// cover, one byte probe at a time. It is the reference Invert's
+// high-water-mark trim must reproduce exactly.
+func invertByteTrim(d *Delta, ref []byte) *Delta {
+	inv := &Delta{RefLen: d.VersionLen, VersionLen: d.RefLen}
+	type span struct{ from, to, length int64 }
+	var spans []span
+	covered := interval.NewSet()
+	var copies []Command
+	for _, c := range d.Commands {
+		if c.Op == OpCopy {
+			copies = append(copies, c)
+		}
+	}
+	slices.SortFunc(copies, func(a, b Command) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.Length, a.Length)
+	})
+	for _, c := range copies {
+		lo, end := c.From, c.From+c.Length
+		for lo < end {
+			for lo < end && covered.Contains(lo) {
+				lo++
+			}
+			if lo >= end {
+				break
+			}
+			hi := lo
+			for hi < end && !covered.Contains(hi) {
+				hi++
+			}
+			spans = append(spans, span{from: c.To + (lo - c.From), to: lo, length: hi - lo})
+			covered.Add(interval.Interval{Lo: lo, Hi: hi - 1})
+			lo = hi
+		}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.to, b.to) })
+	var at int64
+	for _, s := range spans {
+		if s.to > at {
+			inv.Commands = append(inv.Commands, NewAdd(at, append([]byte(nil), ref[at:s.to]...)))
+		}
+		inv.Commands = append(inv.Commands, NewCopy(s.from, s.to, s.length))
+		at = s.to + s.length
+	}
+	if at < d.RefLen {
+		inv.Commands = append(inv.Commands, NewAdd(at, append([]byte(nil), ref[at:]...)))
+	}
+	return inv
+}
+
+// TestInvertMatchesByteTrim checks Invert against the byte-probing trim on
+// random permuted deltas whose copies read heavily overlapping, nested and
+// identical reference ranges.
+func TestInvertMatchesByteTrim(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for iter := 0; iter < 300; iter++ {
+		refLen := rng.Int63n(512) + 1
+		ref := make([]byte, refLen)
+		rng.Read(ref)
+		d := &Delta{RefLen: refLen, VersionLen: rng.Int63n(1024) + 1}
+		for at := int64(0); at < d.VersionLen; {
+			n := min(rng.Int63n(48)+1, d.VersionLen-at)
+			switch {
+			case n <= refLen && rng.Intn(4) > 0:
+				// Reads cluster in a few hot spots so they overlap.
+				from := min(rng.Int63n(4)*refLen/4+rng.Int63n(8), refLen-n)
+				d.Commands = append(d.Commands, NewCopy(from, at, n))
+			default:
+				data := make([]byte, n)
+				rng.Read(data)
+				d.Commands = append(d.Commands, NewAdd(at, data))
+			}
+			at += n
+		}
+		rng.Shuffle(len(d.Commands), func(i, j int) { d.Commands[i], d.Commands[j] = d.Commands[j], d.Commands[i] })
+		got, err := Invert(d, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := invertByteTrim(d, ref)
+		if got.RefLen != want.RefLen || got.VersionLen != want.VersionLen || len(got.Commands) != len(want.Commands) {
+			t.Fatalf("iter %d: shape %d/%d/%d, want %d/%d/%d", iter,
+				got.RefLen, got.VersionLen, len(got.Commands), want.RefLen, want.VersionLen, len(want.Commands))
+		}
+		for k := range got.Commands {
+			if !got.Commands[k].Equal(want.Commands[k]) {
+				t.Fatalf("iter %d: command %d = %v, want %v", iter, k, got.Commands[k], want.Commands[k])
+			}
+		}
 	}
 }

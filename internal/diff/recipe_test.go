@@ -3,6 +3,8 @@ package diff
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"ipdelta/internal/chunk"
@@ -156,6 +158,11 @@ func TestRecipeDiffBoundedWindow(t *testing.T) {
 	rng.Read(new[256<<10 : 1792<<10])
 
 	const winCap = 64 << 10
+	// The buffers are read back from the differ's sync.Pool, whose item
+	// sits in the private slot of the P that ran the diff until two GCs
+	// pass: one P and no GC keep it there for the Get below.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rd := NewRecipeDiffer(WithRecipeWindow(winCap))
 	got := applyRecipeDiff(t, rd, old, new)
 	if !bytes.Equal(got, new) {
